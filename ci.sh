@@ -19,10 +19,18 @@ fi
 echo "==> offline release build (library, binary and example targets)"
 # --examples is load-bearing: a bare `cargo build` skips example targets,
 # which let the five examples/ programs rot silently across refactors.
-cargo build --release --offline --workspace --examples
+# --bins must come with it: a target-selection flag builds only the
+# targets it names, and the smokes below run the release exp_* binaries.
+cargo build --release --offline --workspace --bins --examples
 
 echo "==> offline test suite"
 cargo test -q --offline --workspace
+
+echo "==> benchmark package build + self-tests"
+# perfbench/ is its own Cargo workspace over the library crates; testing
+# it here makes a library API change that breaks the benchmark fail CI
+# rather than the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> parallel sweep determinism smoke (1 thread vs default)"
 # Reduced sweep, timings discarded: stdout must be byte-identical no
@@ -55,13 +63,18 @@ if ! cmp -s "$seq_out" "$par_out"; then
     exit 1
 fi
 
-echo "==> corridor grid smoke (reduced grid, 1 thread vs default vs 7)"
-# The E13 corridor sweep (chained intersections, batched pool-parallel
-# admission) must route every vehicle with clean audits and print
-# byte-identical tables at any worker-pool width — the batch merge makes
-# both the sweep pool and the per-corridor batch workers unobservable.
+echo "==> corridor grid smoke (golden file, 1 thread vs default vs 7)"
+# The E13 corridor sweep (chained intersections, serial inline admission
+# at every IM) must route every vehicle with clean audits and print
+# byte-identical tables at any worker-pool width. The 1-thread output
+# must also match the committed golden file byte for byte.
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
     ./target/release/exp_grid_sweep >"$seq_out" 2>/dev/null
+if ! cmp -s crates/bench/golden/exp_grid_sweep.fast.txt "$seq_out"; then
+    echo "FAIL: grid sweep output diverges from crates/bench/golden/exp_grid_sweep.fast.txt" >&2
+    diff crates/bench/golden/exp_grid_sweep.fast.txt "$seq_out" >&2 || true
+    exit 1
+fi
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
     ./target/release/exp_grid_sweep >"$par_out" 2>/dev/null
 if ! cmp -s "$seq_out" "$par_out"; then
@@ -136,12 +149,10 @@ echo "==> DES engine vs seed-baseline agreement gate"
 # and verdicts. Timing loops are skipped.
 CROSSROADS_SWEEP_FAST=1 cargo bench --offline --bench des -p crossroads-bench
 
-echo "==> batched-admission verdict + corridor transcript agreement gate"
-# Quick mode: benches/grid.rs hard-asserts that batched pool-parallel
-# admission returns the serial baseline's verdict for all 10k requests
-# across 8 shards at 1/2/4/8 workers, and that the windowed-parallel
+echo "==> corridor transcript agreement gate"
+# Quick mode: benches/grid.rs hard-asserts that the windowed-parallel
 # corridor engine reproduces the serial engine's full outcome at 2/4/8
-# shard workers. Timing loops are skipped.
+# shard workers. The timing loop is skipped.
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
     cargo bench --offline --bench grid -p crossroads-bench
 

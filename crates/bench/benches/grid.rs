@@ -1,29 +1,18 @@
-//! Batched pool-parallel admission vs the serial per-vehicle baseline,
-//! at corridor scale: 10,000 decision requests spread over 8 policy
-//! shards — the workload shape `exp_grid_sweep`'s K = 8 points drain
-//! through `BatchHost`.
+//! Corridor-scale admission: 10,000 decision requests spread over 8
+//! policy shards — the workload shape of `exp_grid_sweep`'s K = 8 points —
+//! decided serially inline, one at a time, as each corridor IM does.
 //!
-//! The batched path partitions each round of requests by shard
-//! (preserving per-shard order, so every shard's policy sees exactly the
-//! serial decision sequence) and evaluates the shards concurrently; the
-//! serial baseline decides every request inline, one at a time, like the
-//! pre-corridor world did. Verdict-level agreement between the two paths
-//! is hard-asserted over the full 10k-request stream before anything is
-//! timed.
-//!
-//! Two agreement gates run before anything is timed: the
-//! verdict-level batched == serial assertion over the full 10k-request
-//! stream, and a corridor transcript gate pinning the windowed-parallel
-//! engine (DESIGN.md §7) to the serial engine's full outcome at 2/4/8
-//! shard workers.
+//! One agreement gate runs before anything is timed: a corridor
+//! transcript gate pinning the windowed-parallel engine (DESIGN.md §7) to
+//! the serial engine's full outcome at 2/4/8 shard workers.
 //!
 //! Self-timed (`harness = false`); run with `cargo bench --bench grid`.
-//! `ci.sh` runs it with `CROSSROADS_SWEEP_FAST=1`, which keeps both
-//! agreement gates and skips the timing loops.
+//! `ci.sh` runs it with `CROSSROADS_SWEEP_FAST=1`, which keeps the
+//! agreement gate and skips the timing loop.
 
 use crossroads_bench::timing::{bench_table_header, measure};
 use crossroads_bench::{
-    emit_micro_bench, fast_sweep, run_grid_point_sharded, BatchHost, GridPoint, GRID_SEED,
+    emit_micro_bench, fast_sweep, run_grid_point_sharded, GridPoint, GRID_SEED,
 };
 use crossroads_core::policy::{CrossroadsPolicy, IntersectionPolicy, PolicyKind};
 use crossroads_core::{BufferModel, CrossingCommand, CrossingRequest};
@@ -40,9 +29,6 @@ use std::sync::Arc;
 const SHARDS: usize = 8;
 /// Decision requests per pass.
 const REQUESTS: usize = 10_000;
-/// Requests drained per batch round across all shards — the analogue of
-/// one timestamp-boundary drain in the corridor's event loop.
-const ROUND: usize = 2048;
 
 fn request(v: u32, t: f64) -> CrossingRequest {
     CrossingRequest {
@@ -95,8 +81,8 @@ fn now_for(req: &CrossingRequest) -> TimePoint {
     req.transmitted_at + Seconds::from_millis(50.0)
 }
 
-/// The serial per-vehicle baseline: every request decided inline, in
-/// stream order, exactly as the pre-corridor single-IM world does.
+/// Every request decided inline, in stream order, exactly as each
+/// corridor IM does.
 fn serial_pass(
     shards: &mut [CrossroadsPolicy],
     reqs: &[(usize, CrossingRequest)],
@@ -110,67 +96,12 @@ fn serial_pass(
         .collect()
 }
 
-/// The batched path: rounds of `ROUND` requests partitioned by shard and
-/// decided concurrently on the host, verdicts merged back in stream
-/// order. Each shard's policy travels into exactly one job per round and
-/// comes back out, so shard state is never shared between workers; the
-/// request stream itself is shared read-only behind an `Arc`, so a round
-/// ships only index batches, not request copies.
-fn batched_pass(
-    host: &BatchHost,
-    shards: Vec<CrossroadsPolicy>,
-    reqs: &Arc<Vec<(usize, CrossingRequest)>>,
-) -> (Vec<CrossroadsPolicy>, Vec<CrossingCommand>) {
-    let mut slots: Vec<Option<CrossroadsPolicy>> = shards.into_iter().map(Some).collect();
-    let mut verdicts: Vec<Option<CrossingCommand>> = vec![None; reqs.len()];
-    let mut base = 0usize;
-    while base < reqs.len() {
-        let chunk = &reqs[base..(base + ROUND).min(reqs.len())];
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); SHARDS];
-        for (off, (s, _)) in chunk.iter().enumerate() {
-            per_shard[*s].push(base + off);
-        }
-        let jobs: Vec<(CrossroadsPolicy, Vec<usize>)> = per_shard
-            .into_iter()
-            .enumerate()
-            .map(|(s, batch)| (slots[s].take().expect("policy in its slot"), batch))
-            .collect();
-        let stream = Arc::clone(reqs);
-        let done = host.run(jobs, move |_, (mut policy, batch)| {
-            let decided: Vec<(usize, CrossingCommand)> = batch
-                .into_iter()
-                .map(|idx| {
-                    let req = &stream[idx].1;
-                    let cmd = policy.decide(req, now_for(req));
-                    policy.on_exit(req.vehicle, now_for(req) + Seconds::new(4.0));
-                    (idx, cmd)
-                })
-                .collect();
-            (policy, decided)
-        });
-        for (s, (policy, decided)) in done.into_iter().enumerate() {
-            slots[s] = Some(policy);
-            for (idx, cmd) in decided {
-                verdicts[idx] = Some(cmd);
-            }
-        }
-        base += ROUND;
-    }
-    (
-        slots.into_iter().map(|p| p.expect("restored")).collect(),
-        verdicts
-            .into_iter()
-            .map(|v| v.expect("every request decided"))
-            .collect(),
-    )
-}
-
 fn main() {
     let conflicts = Arc::new(ConflictTable::compute(
         &IntersectionGeometry::full_scale(),
         Meters::new(1.8),
     ));
-    let reqs = Arc::new(stream());
+    let reqs = stream();
 
     // Corridor transcript gate: the windowed-parallel engine must
     // reproduce the serial engine's outcome bit for bit — records,
@@ -194,39 +125,16 @@ fn main() {
         );
     }
     println!(
-        "corridor transcript: windowed == serial over {} vehicles at K=4 x {{2,4,8}} shard workers",
+        "corridor transcript: windowed == serial over {} vehicles at K=4 x {{2,4,8}} shard workers\n",
         serial.spawned
-    );
-
-    // Hard gate first: the batched path must agree with the serial
-    // baseline verdict for verdict over the full 10k-request stream, at
-    // every worker count — otherwise the speedup below measures nothing.
-    let mut reference_shards = fresh_shards(&conflicts);
-    let reference = serial_pass(&mut reference_shards, &reqs);
-    for workers in [1, 2, 4, 8] {
-        let host = BatchHost::new(workers);
-        let (_, batched) = batched_pass(&host, fresh_shards(&conflicts), &reqs);
-        assert_eq!(batched.len(), reference.len());
-        for (i, (b, r)) in batched.iter().zip(&reference).enumerate() {
-            assert!(
-                b == r,
-                "verdict {i} diverged on {workers} workers: {b:?} vs {r:?}"
-            );
-        }
-    }
-    println!(
-        "verdict agreement: batched == serial on all {} requests x {{1,2,4,8}} workers\n",
-        reqs.len()
     );
     if fast_sweep() {
         // ci.sh quick mode: the agreement gate above is the contract;
-        // skip the timing loops.
+        // skip the timing loop.
         return;
     }
 
     bench_table_header("grid_admission_10k");
-    let mut points: Vec<BenchPoint> = Vec::new();
-    let mut serial_ns = 0.0f64;
 
     let mut shards = fresh_shards(&conflicts);
     let m = measure("serial_10k", || {
@@ -239,42 +147,11 @@ fn main() {
         m.max_ns,
         m.iters_per_sample
     );
-    serial_ns = serial_ns.max(m.median_ns);
-    points.push(BenchPoint {
+    let point = BenchPoint {
         label: String::from("serial_10k"),
         wall_ms: m.median_ns / 1e6,
         events: m.iters_per_sample,
-    });
+    };
 
-    // workers = 1 exercises the inline path (no threads): its gap to
-    // serial_10k is the pure partition/merge bookkeeping cost, separate
-    // from any thread scheduling overhead in the w >= 2 rows.
-    for workers in [1usize, 2, 4, 8] {
-        let host = BatchHost::new(workers);
-        let mut shards = Some(fresh_shards(&conflicts));
-        let m = measure(&format!("batched_10k_w{workers}"), || {
-            let (back, verdicts) = batched_pass(&host, shards.take().expect("shards"), &reqs);
-            shards = Some(back);
-            black_box(verdicts).len()
-        });
-        println!(
-            "| batched_10k_w{workers} | {} | {:.1} ns | {:.1} ns | {} |",
-            m.human_median(),
-            m.min_ns,
-            m.max_ns,
-            m.iters_per_sample
-        );
-        println!(
-            "| speedup_w{workers} | {:.2}x vs serial | | | |",
-            serial_ns / m.median_ns
-        );
-        points.push(BenchPoint {
-            label: format!("batched_10k_w{workers}"),
-            wall_ms: m.median_ns / 1e6,
-            events: m.iters_per_sample,
-        });
-    }
-
-    let total: f64 = points.iter().map(|p| p.wall_ms).sum();
-    emit_micro_bench("bench_grid", total, &points);
+    emit_micro_bench("bench_grid", point.wall_ms, &[point]);
 }

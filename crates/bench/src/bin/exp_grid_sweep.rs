@@ -5,12 +5,13 @@
 //! chains K identical intersections into an arterial corridor
 //! (westbound and eastbound through-traffic handed off box to box,
 //! cross traffic at every intersection), runs the full V2I loop on every
-//! leg with batched pool-parallel admission, and reports the corridor's
-//! carried flow. The K = 8 points route 10,000 vehicles each.
+//! leg with serial inline admission at each IM, and reports the
+//! corridor's carried flow. The K = 8 points route 10,000 vehicles each.
 //!
 //! Stdout is byte-identical at any `CROSSROADS_THREADS` setting: the
-//! table carries only simulation-side figures, and the corridor's batch
-//! merge makes worker count unobservable. Wall-clock figures (events/s)
+//! table carries only simulation-side figures, and every point is a pure
+//! function of its seed, so the point-level pool only changes where a
+//! point runs. Wall-clock figures (events/s)
 //! land in `BENCH_sweep.json` alongside the deterministic grid summary
 //! record.
 

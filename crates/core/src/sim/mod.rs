@@ -19,7 +19,6 @@ use crossroads_des::Simulation;
 use crossroads_intersection::{ConflictTable, IntersectionGeometry, ReservationTable};
 use crossroads_metrics::RunMetrics;
 use crossroads_net::{ChannelConfig, ComputationDelayModel, FaultConfig};
-use crossroads_pool::BatchHost;
 use crossroads_trace::Recorder;
 use crossroads_traffic::{Arrival, MixedConfig};
 use crossroads_units::{MetersPerSecond, Seconds, TimePoint};
@@ -499,8 +498,13 @@ fn run_with_recorder(
 }
 
 /// Configuration of a corridor run: `k` chained intersections sharing one
-/// [`SimConfig`], connected by fixed-travel-time links, with optional
-/// batched pool-parallel admission.
+/// [`SimConfig`], connected by fixed-travel-time links, optionally run on
+/// the windowed parallel engine.
+///
+/// Every IM decides its requests serially inline with each uplink — the
+/// same code path as [`run_simulation`]. `shard_workers` only chooses
+/// which engine drives the shards; the outcome is identical at any
+/// setting.
 #[derive(Debug, Clone, Copy)]
 pub struct CorridorConfig {
     /// The per-intersection configuration (every IM in the corridor runs
@@ -512,11 +516,6 @@ pub struct CorridorConfig {
     /// Exit-to-next-transmission-line travel time between adjacent
     /// intersections.
     pub link_time: Seconds,
-    /// Worker threads for batched admission. Below 2 the corridor decides
-    /// serially inline with each uplink — the same code path as
-    /// [`run_simulation`] — which is also the deterministic reference the
-    /// batched mode must (and does) reproduce byte-for-byte.
-    pub batch_workers: usize,
     /// Worker threads for the conservative time-windowed parallel engine.
     /// Below 2 (or at `k == 1`, or under a flight recorder) the corridor
     /// runs the serial engine; `>= 2` executes the shards concurrently in
@@ -538,7 +537,6 @@ impl CorridorConfig {
             sim,
             k,
             link_time: Seconds::new(6.0),
-            batch_workers: 0,
             shard_workers: std::env::var(SHARD_WORKERS_ENV)
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -551,13 +549,6 @@ impl CorridorConfig {
     #[must_use]
     pub fn with_link_time(mut self, link_time: Seconds) -> Self {
         self.link_time = link_time;
-        self
-    }
-
-    /// Enables batched pool-parallel admission on `workers` threads.
-    #[must_use]
-    pub fn with_batch_workers(mut self, workers: usize) -> Self {
-        self.batch_workers = workers;
         self
     }
 
@@ -654,9 +645,9 @@ impl CorridorOutcome {
 /// after one box.
 ///
 /// Deterministic: the same `(config, workload, entry_ims)` triple always
-/// produces the identical outcome, at any `batch_workers` setting — the
-/// batch merge replays decisions in shard-then-queue order, so worker
-/// count is unobservable.
+/// produces the identical outcome, at any `shard_workers` setting — the
+/// windowed engine merges its lanes' metrics back into the serial
+/// engine's order, so worker count is unobservable.
 ///
 /// # Panics
 ///
@@ -711,11 +702,9 @@ fn run_corridor_with_recorder(
             config.effective_lookahead(),
         );
     }
-    let host = (config.batch_workers >= 2).then(|| BatchHost::new(config.batch_workers));
     let mut sim: Simulation<Event> = Simulation::new();
     let mut world =
         World::new_corridor(&config.sim, workload, entry_ims, config.k, config.link_time);
-    world.batch = host.as_ref();
     world.recorder = recorder;
     for (i, arr) in workload.iter().enumerate() {
         sim.schedule(arr.at_line, Event::LineCrossing(i));
@@ -742,7 +731,6 @@ fn run_corridor_with_recorder(
     }
     let run = sim.run_until(horizon, |sim, ev| {
         world.handle(sim, ev);
-        world.maybe_drain(sim);
         true
     });
     DES_EVENTS.with(|c| c.set(c.get() + run.events_processed));

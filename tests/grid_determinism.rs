@@ -2,8 +2,7 @@
 //! `exp_grid_sweep` prints are a pure function of `(point, seed)`, so
 //! fanning the grid out over a worker pool must reproduce the
 //! sequential rows byte for byte at any thread count — the worker count
-//! (and the corridor's internal batch worker count) must be
-//! unobservable in the output — as must the corridor engine itself:
+//! must be unobservable in the output — as must the corridor engine itself:
 //! the windowed-parallel engine reproduces the serial rows at any
 //! shard-worker count.
 
