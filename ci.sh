@@ -48,13 +48,19 @@ if ! cmp -s "$seq_out" "$par_out"; then
     exit 1
 fi
 
-echo "==> fault-injection smoke (reduced grid, 1 thread vs default)"
+echo "==> fault-injection smoke (golden file, 1 thread vs default)"
 # Same determinism contract under injected faults: the reduced fault
 # sweep (burst x outage grid, all policies) must be byte-identical at
 # any pool width, and every point hard-asserts the zero-safety-violation
-# invariant internally.
+# invariant internally. The 1-thread output must also match the
+# committed golden file byte for byte.
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
     ./target/release/exp_fault_sweep >"$seq_out" 2>/dev/null
+if ! cmp -s crates/bench/golden/exp_fault_sweep.fast.txt "$seq_out"; then
+    echo "FAIL: fault sweep output diverges from crates/bench/golden/exp_fault_sweep.fast.txt" >&2
+    diff crates/bench/golden/exp_fault_sweep.fast.txt "$seq_out" >&2 || true
+    exit 1
+fi
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null \
     ./target/release/exp_fault_sweep >"$par_out" 2>/dev/null
 if ! cmp -s "$seq_out" "$par_out"; then
@@ -62,6 +68,21 @@ if ! cmp -s "$seq_out" "$par_out"; then
     diff "$seq_out" "$par_out" >&2 || true
     exit 1
 fi
+
+echo "==> RTD-effect golden file (full mode, 1 thread vs 7)"
+# E2 in full mode: the open-loop RTD table and the closed-loop control
+# whose stripped VT-IM buffer must violate the 78 mm envelope on 30/30
+# seeds, so the audit is gated on finding violations, not only on
+# passing clean runs. Both runs must match the committed golden file.
+for t in 1 7; do
+    CROSSROADS_SWEEP_FAST=0 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=$t \
+        ./target/release/exp_rtd_effect >"$par_out" 2>/dev/null
+    if ! cmp -s crates/bench/golden/exp_rtd_effect.txt "$par_out"; then
+        echo "FAIL: RTD-effect output ($t threads) diverges from crates/bench/golden/exp_rtd_effect.txt" >&2
+        diff crates/bench/golden/exp_rtd_effect.txt "$par_out" >&2 || true
+        exit 1
+    fi
+done
 
 echo "==> corridor grid smoke (golden file, 1 thread vs default vs 7)"
 # The E13 corridor sweep (chained intersections, serial inline admission
@@ -142,11 +163,12 @@ echo "==> no-deadlock liveness under faults (pinned regression seeds)"
 cargo test -q --offline -p crossroads-core --test fault_liveness
 
 echo "==> DES engine vs seed-baseline agreement gate"
-# Quick mode: benches/des.rs replays randomized schedule/cancel/pop
-# interleavings on the rewritten queue and the seed's BinaryHeap
-# baseline (embedded in the bench), and the sweep audit against the
-# exhaustive pairwise reference, hard-asserting identical transcripts
-# and verdicts. Timing loops are skipped.
+# Quick mode: benches/des.rs replays randomized and corridor-shaped
+# (10k presorted arrivals, then mixed traffic) schedule/cancel/pop
+# interleavings on the run-plus-heap queue and the seed's BinaryHeap
+# baseline (embedded in the bench), and the pruned first-contact march
+# against the plain 5 ms march, hard-asserting identical transcripts
+# and contact instants. Timing loops are skipped.
 CROSSROADS_SWEEP_FAST=1 cargo bench --offline --bench des -p crossroads-bench
 
 echo "==> corridor transcript agreement gate"
@@ -200,15 +222,21 @@ if ! cmp -s "$seq_out" "$par_out"; then
     exit 1
 fi
 
-echo "==> mixed-traffic smoke (filtered sweep at 1/4/7 threads + disabled identity)"
+echo "==> mixed-traffic smoke (golden file, filtered sweep at 1/4/7 threads + disabled identity)"
 # The mixed sweep (compliance mixes x execution error, all policies,
 # runtime safety filter armed) hard-asserts completion, clean safety
 # audits and a nonzero intervention count internally; its stdout must
-# stay byte-identical at any worker-pool width. Mixed traffic must also
-# be unobservable by default: an existing experiment run with
+# stay byte-identical at any worker-pool width, and the 1-thread output
+# must match the committed golden file. Mixed traffic must also be
+# unobservable by default: an existing experiment run with
 # CROSSROADS_MIXED=0 pinned must match the flag-unset run byte for byte.
 CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=1 \
     ./target/release/exp_mixed_sweep >"$seq_out" 2>/dev/null
+if ! cmp -s crates/bench/golden/exp_mixed_sweep.fast.txt "$seq_out"; then
+    echo "FAIL: mixed sweep output diverges from crates/bench/golden/exp_mixed_sweep.fast.txt" >&2
+    diff crates/bench/golden/exp_mixed_sweep.fast.txt "$seq_out" >&2 || true
+    exit 1
+fi
 for t in 4 7; do
     CROSSROADS_SWEEP_FAST=1 CROSSROADS_BENCH_OUT=/dev/null CROSSROADS_THREADS=$t \
         ./target/release/exp_mixed_sweep >"$par_out" 2>/dev/null

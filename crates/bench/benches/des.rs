@@ -1,12 +1,15 @@
-//! DES engine hot paths: the slab-indexed cancellable event queue
-//! against the seed's `BinaryHeap` + tombstone-set queue, and the
+//! DES engine hot paths: the run-plus-heap cancellable event queue
+//! against the seed's `BinaryHeap` + tombstone-set queue, the pruned
+//! first-contact march against the plain 5 ms march, and the
 //! sweep-pruned safety audit against the exhaustive pairwise reference.
 //!
-//! Before any timing, the bench **hard-asserts** engine-vs-seed
-//! agreement on randomized workloads — pop transcripts, `cancel` return
-//! values, audit verdicts. `ci.sh` runs it with `CROSSROADS_SWEEP_FAST=1`,
-//! which keeps those gates and skips the timing loops, so every CI pass
-//! re-proves the rewritten engine behaves exactly like the seed.
+//! Before any timing, the bench **hard-asserts** engine-vs-oracle
+//! agreement on randomized workloads — pop transcripts and `cancel`
+//! return values against the seed queue (including a corridor-shaped
+//! workload: a presorted arrival stream, then mixed traffic), and
+//! first-contact instants against the plain march. `ci.sh` runs it with
+//! `CROSSROADS_SWEEP_FAST=1`, which keeps those gates and skips the
+//! timing loops, so every CI pass re-proves both rewrites exact.
 //!
 //! Self-timed (`harness = false`); run with `cargo bench --bench des`.
 
@@ -16,7 +19,9 @@ use std::hint::black_box;
 
 use crossroads_bench::fast_sweep;
 use crossroads_bench::timing::{bench, bench_table_header};
+use crossroads_core::sim::safety::{first_contact, first_contact_marched, MovementPaths};
 use crossroads_core::sim::{BoxOccupancy, SafetyReport};
+use crossroads_core::BufferModel;
 use crossroads_des::EventQueue;
 use crossroads_intersection::{IntersectionGeometry, Movement};
 use crossroads_prng::{Rng, SeedableRng, StdRng};
@@ -105,6 +110,9 @@ impl<E> SeedQueue<E> {
 #[derive(Clone, Copy)]
 enum Op {
     Schedule(f64),
+    /// Schedule this long after the last popped instant, as a handler
+    /// schedules its follow-ups.
+    ScheduleIn(f64),
     Cancel(usize),
     Pop,
 }
@@ -128,6 +136,40 @@ fn gen_ops(seed: u64, n: usize, cancel_frac: f64) -> Vec<Op> {
     ops
 }
 
+/// A workload shaped like `run_corridor`: `arrivals` presorted arrival
+/// events scheduled up front, then handler traffic — follow-ups a short
+/// delay after the current instant (45%), timer cancellations (15%),
+/// pops (40%) — so a working set of live timers builds up beside the
+/// arrival stream.
+fn gen_corridor_ops(seed: u64, arrivals: usize, n: usize) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut at = 0.0;
+    let mut ops: Vec<Op> = (0..arrivals)
+        .map(|_| {
+            at += rng.gen_range(0.0..0.2);
+            Op::Schedule(at)
+        })
+        .collect();
+    for _ in 0..n {
+        let roll = rng.gen_range(0.0..1.0);
+        if roll < 0.45 {
+            // Equal-time ties against run entries: follow-ups at delay 0.
+            let delay = if roll < 0.05 {
+                0.0
+            } else {
+                rng.gen_range(0.0..0.4)
+            };
+            ops.push(Op::ScheduleIn(delay));
+        } else if roll < 0.6 {
+            #[allow(clippy::cast_possible_truncation)]
+            ops.push(Op::Cancel((rng.next_u64() % (1 << 32)) as usize));
+        } else {
+            ops.push(Op::Pop);
+        }
+    }
+    ops
+}
+
 /// Replays `ops` on the indexed queue, returning the pop transcript
 /// (time bits + payload) and every cancel verdict.
 fn run_indexed(ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
@@ -136,10 +178,15 @@ fn run_indexed(ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
     let mut payload = 0usize;
     let mut pops = Vec::new();
     let mut cancels = Vec::new();
+    let mut now = 0.0;
     for &op in ops {
         match op {
             Op::Schedule(at) => {
                 ids.push(q.schedule(TimePoint::new(at), payload));
+                payload += 1;
+            }
+            Op::ScheduleIn(delay) => {
+                ids.push(q.schedule(TimePoint::new(now + delay), payload));
                 payload += 1;
             }
             Op::Cancel(pick) if !ids.is_empty() => {
@@ -148,6 +195,7 @@ fn run_indexed(ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
             Op::Cancel(_) => {}
             Op::Pop => {
                 if let Some((at, e)) = q.pop() {
+                    now = at.value();
                     pops.push((at.value().to_bits(), e));
                 }
             }
@@ -166,10 +214,15 @@ fn run_seed(ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
     let mut payload = 0usize;
     let mut pops = Vec::new();
     let mut cancels = Vec::new();
+    let mut now = 0.0;
     for &op in ops {
         match op {
             Op::Schedule(at) => {
                 ids.push(q.schedule(TimePoint::new(at), payload));
+                payload += 1;
+            }
+            Op::ScheduleIn(delay) => {
+                ids.push(q.schedule(TimePoint::new(now + delay), payload));
                 payload += 1;
             }
             Op::Cancel(pick) if !ids.is_empty() => {
@@ -178,6 +231,7 @@ fn run_seed(ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
             Op::Cancel(_) => {}
             Op::Pop => {
                 if let Some((at, e)) = q.pop() {
+                    now = at.value();
                     pops.push((at.value().to_bits(), e));
                 }
             }
@@ -189,11 +243,13 @@ fn run_seed(ops: &[Op]) -> (Vec<(u64, usize)>, Vec<bool>) {
     (pops, cancels)
 }
 
-/// The correctness gate: on many randomized interleavings, the indexed
-/// queue's pop transcript and cancel verdicts must equal the seed's.
+/// The correctness gate: on many randomized interleavings, and on
+/// corridor-shaped workloads, the indexed queue's pop transcript and
+/// cancel verdicts must equal the seed's.
 fn assert_queue_agreement() {
-    for seed in 0..32u64 {
-        let ops = gen_ops(seed, 400, 0.25);
+    let random = (0..32u64).map(|seed| (seed, gen_ops(seed, 400, 0.25)));
+    let corridor = (0..4u64).map(|seed| (100 + seed, gen_corridor_ops(seed, 10_000, 40_000)));
+    for (seed, ops) in random.chain(corridor) {
         let (pops_new, cancels_new) = run_indexed(&ops);
         let (pops_seed, cancels_seed) = run_seed(&ops);
         assert_eq!(
@@ -205,7 +261,10 @@ fn assert_queue_agreement() {
             "cancel verdicts diverged from the seed queue (seed {seed})"
         );
     }
-    println!("queue agreement: indexed == seed on 32 randomized interleavings");
+    println!(
+        "queue agreement: indexed == seed on 32 randomized interleavings \
+         and 4 corridor-shaped workloads (10k presorted arrivals)"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -254,34 +313,54 @@ fn random_occupancies(seed: u64, n: usize) -> Vec<BoxOccupancy> {
         .collect()
 }
 
-fn digest(report: &SafetyReport) -> Vec<(u32, u32, u64)> {
-    report
-        .violations()
-        .iter()
-        .map(|v| (v.first.0, v.second.0, v.at.value().to_bits()))
-        .collect()
-}
-
-/// The audit gate: the sweep-pruned audit's verdict must equal the
-/// exhaustive pairwise reference on randomized traffic.
+/// The audit gate: on every temporally overlapping pair of randomized
+/// traffic, at the bare-body and the guarantee-level margin, the pruned
+/// first-contact march must return the plain march's instant bit for
+/// bit. (The sweep and exhaustive audits both call the pruned march, so
+/// comparing them would not guard it; `tests/sweep_audit.rs` pins their
+/// pair pruning.)
 fn assert_audit_agreement() {
     let g = IntersectionGeometry::scale_model();
     let s = VehicleSpec::scale_model();
-    let mut checked = 0usize;
+    let paths = MovementPaths::new(&g);
+    let (mut pairs, mut contacts) = (0usize, 0usize);
     for seed in 0..8u64 {
-        for n in [0usize, 1, 13, 64] {
-            let occs = random_occupancies(seed, n);
-            let sweep = SafetyReport::audit_with_margin(occs.clone(), &g, &s, Meters::ZERO);
-            let pairwise = SafetyReport::audit_exhaustive_with_margin(occs, &g, &s, Meters::ZERO);
-            assert_eq!(
-                digest(&sweep),
-                digest(&pairwise),
-                "sweep audit diverged from the exhaustive audit (seed {seed}, n {n})"
-            );
-            checked += 1;
+        let occs = random_occupancies(seed, 64);
+        for margin in [Meters::ZERO, BufferModel::scale_model().e_long] {
+            for_each_overlap(&occs, |a, b, start, end| {
+                let pruned = first_contact(a, b, &paths, &s, margin, start, end);
+                let plain = first_contact_marched(a, b, &paths, &s, margin, start, end);
+                assert_eq!(
+                    pruned.map(|t| t.value().to_bits()),
+                    plain.map(|t| t.value().to_bits()),
+                    "pruned march diverged from the plain march (seed {seed}, vehicles {} and {})",
+                    a.vehicle.0,
+                    b.vehicle.0,
+                );
+                pairs += 1;
+                contacts += usize::from(plain.is_some());
+            });
         }
     }
-    println!("audit agreement: sweep == exhaustive on {checked} randomized sets");
+    assert!(contacts > 0, "the gate must exercise contacts");
+    println!(
+        "audit agreement: pruned == plain march on {pairs} overlapping pairs ({contacts} contacts)"
+    );
+}
+
+/// Calls `f` on every pair whose box windows overlap, with the overlap.
+fn for_each_overlap(
+    occs: &[BoxOccupancy],
+    mut f: impl FnMut(&BoxOccupancy, &BoxOccupancy, TimePoint, TimePoint),
+) {
+    for (i, a) in occs.iter().enumerate() {
+        for b in &occs[i + 1..] {
+            let (start, end) = (a.entered.max(b.entered), a.exited.min(b.exited));
+            if start < end {
+                f(a, b, start, end);
+            }
+        }
+    }
 }
 
 fn main() {
@@ -319,10 +398,36 @@ fn main() {
         });
     }
 
+    // Corridor-shaped: a 10k presorted arrival stream the run absorbs,
+    // then handler traffic against a small live working set.
+    let ops = gen_corridor_ops(5, 10_000, 40_000);
+    bench("corridor_seed/10000", || run_seed(black_box(&ops)).0.len());
+    bench("corridor_indexed/10000", || {
+        run_indexed(black_box(&ops)).0.len()
+    });
+
     bench_table_header("safety_audit");
 
     let g = IntersectionGeometry::scale_model();
     let s = VehicleSpec::scale_model();
+    let paths = MovementPaths::new(&g);
+    let occs = random_occupancies(3, 256);
+    bench("march_plain/256", || {
+        let mut hits = 0usize;
+        for_each_overlap(black_box(&occs), |a, b, start, end| {
+            let hit = first_contact_marched(a, b, &paths, &s, Meters::ZERO, start, end);
+            hits += usize::from(hit.is_some());
+        });
+        hits
+    });
+    bench("march_pruned/256", || {
+        let mut hits = 0usize;
+        for_each_overlap(black_box(&occs), |a, b, start, end| {
+            let hit = first_contact(a, b, &paths, &s, Meters::ZERO, start, end);
+            hits += usize::from(hit.is_some());
+        });
+        hits
+    });
     for n in [64usize, 256, 1024, 4096] {
         let occs = random_occupancies(3, n);
         bench(&format!("audit_pairwise/{n}"), || {

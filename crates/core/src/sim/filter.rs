@@ -32,13 +32,10 @@
 //! windowed corridor engine sees the identical registry state the serial
 //! engine would at the same dispatch.
 
-use std::collections::HashMap;
-
-use crossroads_intersection::{Movement, MovementPath};
 use crossroads_units::{Meters, TimePoint};
 use crossroads_vehicle::{VehicleId, VehicleSpec};
 
-use crate::sim::safety::{check_pair, movement_paths, BoxOccupancy};
+use crate::sim::safety::{check_pair, BoxOccupancy, MovementPaths};
 use crate::sim::SimConfig;
 
 /// One committed crossing in the registry.
@@ -53,7 +50,7 @@ struct Envelope {
 /// The runtime monitor: per-shard registries of committed crossing
 /// envelopes plus the cached path geometry the pairwise solver needs.
 pub(crate) struct SafetyFilter {
-    paths: HashMap<Movement, MovementPath>,
+    paths: MovementPaths,
     spec: VehicleSpec,
     /// Clearance margin for the conflict checks — the sensing envelope
     /// `e_long` of the buffer model, the same physical uncertainty the
@@ -73,7 +70,7 @@ impl SafetyFilter {
     /// Builds the monitor for a world hosting `shards` intersections.
     pub(crate) fn new(cfg: &SimConfig, shards: usize) -> Self {
         SafetyFilter {
-            paths: movement_paths(&cfg.geometry),
+            paths: MovementPaths::new(&cfg.geometry),
             spec: cfg.spec,
             margin: cfg.buffers.e_long,
             veto: cfg.safety_filter,

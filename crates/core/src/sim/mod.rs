@@ -519,7 +519,8 @@ pub struct CorridorConfig {
     /// Worker threads for the conservative time-windowed parallel engine.
     /// Below 2 (or at `k == 1`, or under a flight recorder) the corridor
     /// runs the serial engine; `>= 2` executes the shards concurrently in
-    /// lookahead windows with the identical outcome at any worker count.
+    /// lookahead windows with the identical outcome at any worker count
+    /// (threads are capped at `k` and at the available cores).
     /// Defaults to [`SHARD_WORKERS_ENV`].
     pub shard_workers: usize,
     /// Conservative window length override for the windowed engine. Must

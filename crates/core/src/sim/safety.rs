@@ -13,7 +13,7 @@
 //! crossings inside the box — that is precisely its tile-level advantage.
 
 use crossroads_intersection::{IntersectionGeometry, Movement, MovementPath};
-use crossroads_units::{Meters, OrientedRect, Seconds, TimePoint};
+use crossroads_units::{Meters, MetersPerSecond, OrientedRect, Seconds, TimePoint};
 use crossroads_vehicle::{SpeedProfile, VehicleId, VehicleSpec};
 
 /// One vehicle's physical presence in the box: the time window plus the
@@ -100,7 +100,7 @@ impl SafetyReport {
         spec: &VehicleSpec,
         margin: Meters,
     ) -> Self {
-        let paths = movement_paths(geometry);
+        let paths = MovementPaths::new(geometry);
         // Sweep: visit occupancies in entry order, keeping an active set
         // of earlier entries whose exit lies beyond the current entry.
         let mut by_entry: Vec<usize> = (0..occupancies.len()).collect();
@@ -147,7 +147,7 @@ impl SafetyReport {
         spec: &VehicleSpec,
         margin: Meters,
     ) -> Self {
-        let paths = movement_paths(geometry);
+        let paths = MovementPaths::new(geometry);
         let mut violations = Vec::new();
         for (i, a) in occupancies.iter().enumerate() {
             for b in &occupancies[i + 1..] {
@@ -181,16 +181,32 @@ impl SafetyReport {
     }
 }
 
-/// One replayable path per movement, shared by both audit variants (and
-/// cached by the runtime safety filter, which runs the same pair test
-/// online, before actuation, instead of post-hoc).
-pub(crate) fn movement_paths(
-    geometry: &IntersectionGeometry,
-) -> std::collections::HashMap<Movement, MovementPath> {
-    Movement::all()
-        .into_iter()
-        .map(|m| (m, MovementPath::new(geometry, m)))
-        .collect()
+/// One replayable path per movement, indexed by [`Movement::index`] and
+/// shared by both audit variants (and cached by the runtime safety
+/// filter, which runs the same pair test online, before actuation,
+/// instead of post-hoc).
+#[derive(Debug, Clone)]
+pub struct MovementPaths([MovementPath; 12]);
+
+impl MovementPaths {
+    /// Builds the path of every movement through `geometry`.
+    #[must_use]
+    pub fn new(geometry: &IntersectionGeometry) -> Self {
+        let all = Movement::all();
+        MovementPaths(std::array::from_fn(|i| {
+            let m = all
+                .iter()
+                .find(|m| m.index() == i)
+                .expect("Movement::index maps the 12 movements onto 0..12");
+            MovementPath::new(geometry, *m)
+        }))
+    }
+
+    /// The path `movement` follows.
+    #[must_use]
+    pub fn get(&self, movement: Movement) -> &MovementPath {
+        &self.0[movement.index()]
+    }
 }
 
 /// The per-pair test both audits share: interval overlap, then contact
@@ -202,12 +218,13 @@ pub(crate) fn movement_paths(
 /// reduces to the 1-D separation condition and
 /// [`first_gap_violation`](crossroads_vehicle::first_gap_violation)
 /// solves the crossing in closed form. Every other pair (curved paths,
-/// distinct movements) keeps the sampled rectangle march, which the
-/// property suite pins against the closed form on the shared domain.
+/// distinct movements) keeps the sampled rectangle march
+/// ([`first_contact`], pruned by a reach and closing-speed bound), which
+/// the property suite pins against the closed form on the shared domain.
 pub(crate) fn check_pair(
     a: &BoxOccupancy,
     b: &BoxOccupancy,
-    paths: &std::collections::HashMap<Movement, MovementPath>,
+    paths: &MovementPaths,
     spec: &VehicleSpec,
     margin: Meters,
 ) -> Option<SafetyViolation> {
@@ -256,17 +273,71 @@ fn footprint(
     }
 }
 
-fn first_contact(
+/// First sampled instant in `[start, end]` at which the two footprints
+/// (inflated by `margin`) touch, on the 5 ms grid `start, start + step,
+/// …` accumulated by repeated addition — the same samples and verdict as
+/// [`first_contact_marched`], with most samples skipped unevaluated.
+///
+/// Two bounds make the skipping exact:
+///
+/// - Each footprint lies within its circumradius of its centre, so a
+///   sample whose centres are farther apart than the two circumradii
+///   (padded by a relative 1e-9 for the rectangle test's rounding)
+///   cannot touch and needs no rectangle test.
+/// - A footprint centre moves along its path no faster than its vehicle,
+///   so the centre distance shrinks no faster than the sum of the two
+///   profiles' maximum speeds (padded by a relative 1e-6). Every
+///   later sample that this closing speed cannot bring within reach is
+///   skipped without evaluating either pose.
+pub fn first_contact(
     a: &BoxOccupancy,
     b: &BoxOccupancy,
-    paths: &std::collections::HashMap<Movement, MovementPath>,
+    paths: &MovementPaths,
     spec: &VehicleSpec,
     margin: Meters,
     start: TimePoint,
     end: TimePoint,
 ) -> Option<TimePoint> {
-    let pa = paths.get(&a.movement).expect("all movements have paths");
-    let pb = paths.get(&b.movement).expect("all movements have paths");
+    let (pa, pb) = (paths.get(a.movement), paths.get(b.movement));
+    let length = spec.length + margin * 2.0;
+    let width = spec.width + margin * 2.0;
+    // Twice one circumradius: both bodies share the spec.
+    let reach = length.value().hypot(width.value()) * (1.0 + REACH_PAD);
+    let closing = (max_speed(&a.profile) + max_speed(&b.profile)) * (1.0 + SPEED_PAD);
+    let mut t = start;
+    while t <= end {
+        let ra = footprint(a, pa, spec, margin, t);
+        let rb = footprint(b, pb, spec, margin, t);
+        let gap = ra.center.distance_to(rb.center).value() - reach;
+        if gap <= 0.0 {
+            if ra.intersects(&rb) {
+                return Some(t);
+            }
+            t += AUDIT_STEP;
+            continue;
+        }
+        let from = t;
+        t += AUDIT_STEP;
+        while t <= end && (t - from).value() * closing < gap {
+            t += AUDIT_STEP;
+        }
+    }
+    None
+}
+
+/// The plain 5 ms march: a rectangle test at every sample. Kept as the
+/// oracle the property suite and `benches/des.rs` hold
+/// [`first_contact`] to, bit for bit.
+pub fn first_contact_marched(
+    a: &BoxOccupancy,
+    b: &BoxOccupancy,
+    paths: &MovementPaths,
+    spec: &VehicleSpec,
+    margin: Meters,
+    start: TimePoint,
+    end: TimePoint,
+) -> Option<TimePoint> {
+    let (pa, pb) = (paths.get(a.movement), paths.get(b.movement));
     let mut t = start;
     while t <= end {
         let ra = footprint(a, pa, spec, margin, t);
@@ -279,11 +350,33 @@ fn first_contact(
     None
 }
 
+/// Relative pad on the contact reach: far above the rectangle test's
+/// rounding (a few ulps of the coordinates), far below a sample's motion.
+const REACH_PAD: f64 = 1e-9;
+
+/// Relative pad on the closing-speed bound, absorbing the rounding of
+/// profile positions and of the accumulated sample instants.
+const SPEED_PAD: f64 = 1e-6;
+
+/// An upper bound on the profile's speed at any instant (m/s): speed is
+/// piecewise linear between phase boundaries and constant outside them.
+fn max_speed(profile: &SpeedProfile) -> f64 {
+    profile
+        .phases()
+        .iter()
+        .flat_map(|p| [p.v0, p.exit_speed()])
+        .chain([
+            profile.speed_at(profile.start_time()),
+            profile.final_speed(),
+        ])
+        .map(MetersPerSecond::value)
+        .fold(0.0, f64::max)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crossroads_intersection::{Approach, Turn};
-    use crossroads_units::MetersPerSecond;
 
     fn geometry() -> IntersectionGeometry {
         IntersectionGeometry::scale_model()

@@ -35,7 +35,7 @@ use crossroads_des::Simulation;
 use crossroads_intersection::ConflictTable;
 use crossroads_metrics::{Counters, RunMetrics};
 use crossroads_net::FaultStats;
-use crossroads_pool::WorkerPool;
+use crossroads_pool::{available_threads, WorkerPool};
 use crossroads_prng::{SeedableRng, StdRng};
 use crossroads_traffic::Arrival;
 use crossroads_units::{Seconds, TimePoint};
@@ -74,8 +74,9 @@ impl Lane<'_> {
     }
 }
 
-/// Runs a corridor on `workers` threads in conservative windows of
-/// `lookahead` simulated seconds (`0 < lookahead <= link_time`).
+/// Runs a corridor on `workers` threads (at most one per lane and per
+/// available core) in conservative windows of `lookahead` simulated
+/// seconds (`0 < lookahead <= link_time`).
 ///
 /// Produces the identical [`CorridorOutcome`] as the serial
 /// `run_corridor` engine at any worker count (the tracing engine is the
@@ -138,7 +139,9 @@ pub(crate) fn run_corridor_windowed(
         }
     }
 
-    let pool = WorkerPool::new(workers.clamp(1, k));
+    // Workers beyond the lanes or the cores only contend; the worker
+    // count is unobservable in the outcome.
+    let pool = WorkerPool::new(workers.clamp(1, k).min(available_threads()));
     let mut exchange: Vec<(usize, Handoff)> = Vec::new();
     pool.rounds(
         &mut lanes,

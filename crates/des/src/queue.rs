@@ -1,19 +1,34 @@
 //! The time-ordered event queue.
 //!
-//! A slab-backed *indexed* binary min-heap: every scheduled event lives in
-//! a reusable slot, and the heap stores slot indices while each slot
-//! tracks its own heap position. That position index is what makes
-//! cancellation **eager** — `cancel` swap-removes the entry and re-sifts
-//! in O(log n), so the heap never carries tombstones and `peek_time` /
-//! `is_empty` are O(1) reads on `&self` (the seed implementation reaped
-//! lazily and needed `&mut self` for both).
+//! Two ordered structures share one slab of payload slots:
+//!
+//! - an indexed binary min-heap of **inline keys** `(at, seq, slot,
+//!   generation)`: sifts compare and move 24-byte keys without touching
+//!   the slab (hole technique, one write per level), and each occupied
+//!   slot records its key's heap position so `cancel` can remove it
+//!   eagerly in O(log n);
+//! - a **sorted run**, a `VecDeque` of keys in nondecreasing `(at, seq)`
+//!   order. An event scheduled no earlier than the run's tail is
+//!   appended there in O(1) instead of entering the heap, so a presorted
+//!   bulk schedule (a workload's whole arrival stream) never touches the
+//!   heap, and the heap holds only the live working set.
+//!
+//! `pop` takes whichever head is first by `(at, seq)`. Sequence numbers
+//! are global, so the split cannot reorder anything: the pop order is
+//! the same strict total order a single heap would give. Cancelling a
+//! run entry vacates its slot in O(1) and leaves a dead key behind; dead
+//! keys are reaped whenever they reach the run's head, so the head is
+//! always live and `peek_time`/`is_empty` stay O(1) reads on `&self`.
 
-use std::cmp::Ordering;
+use std::collections::VecDeque;
 
 use crossroads_units::TimePoint;
 
 /// Vacant-slot sentinel for the intrusive free list.
 const NIL: u32 = u32::MAX;
+
+/// `Slot::pos` of an occupied slot whose key lives in the sorted run.
+const IN_RUN: u32 = u32::MAX - 1;
 
 /// Handle to a scheduled event, usable to cancel it before it fires.
 ///
@@ -45,15 +60,62 @@ impl EventId {
     }
 }
 
-struct Slot<E> {
-    /// Bumped every time the slot is vacated, invalidating old handles.
-    generation: u32,
-    /// While occupied: this slot's index in `heap`. While vacant: the next
-    /// vacant slot (intrusive free list), or [`NIL`].
-    pos: u32,
-    at: TimePoint,
+/// One scheduled event's ordering key, stored inline in the heap and the
+/// run: 24 bytes, so ordering never reads the payload slab.
+#[derive(Clone, Copy)]
+struct Key {
+    /// The timestamp's bits remapped so that unsigned integer order is
+    /// `f64::total_cmp` order (see [`Key::order_bits`]).
+    at: u64,
     /// Global schedule order; ties on `at` pop in `seq` order (FIFO).
     seq: u64,
+    slot: u32,
+    /// The slot's generation when the event was scheduled; a run key
+    /// whose slot has since moved on is dead.
+    generation: u32,
+}
+
+impl Key {
+    /// Maps a timestamp to an integer with the same order as
+    /// `f64::total_cmp`: negative values have every bit flipped,
+    /// non-negative ones only the sign bit. `schedule` rejects
+    /// non-finite timestamps, so the only wrinkle this order adds over
+    /// `<` is `-0.0 < +0.0` — the consistent total order the heap needs.
+    fn order_bits(at: TimePoint) -> u64 {
+        let bits = at.value().to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    }
+
+    /// Inverse of [`Key::order_bits`].
+    fn time(&self) -> TimePoint {
+        let bits = if self.at >> 63 == 1 {
+            self.at & !(1 << 63)
+        } else {
+            !self.at
+        };
+        TimePoint::new(f64::from_bits(bits))
+    }
+
+    /// Whether `self` orders strictly before `other`: earlier time, then
+    /// earlier sequence number (FIFO on ties). Sequence numbers are
+    /// unique, so this is a strict total order.
+    #[inline]
+    fn before(&self, other: &Key) -> bool {
+        (self.at, self.seq) < (other.at, other.seq)
+    }
+}
+
+struct Slot<E> {
+    /// Bumped every time the slot is vacated, invalidating old handles
+    /// and old run keys.
+    generation: u32,
+    /// While occupied: this slot's index in `heap`, or [`IN_RUN`]. While
+    /// vacant: the next vacant slot (intrusive free list), or [`NIL`].
+    pos: u32,
     /// `Some` while the event is live; `None` marks the slot vacant.
     payload: Option<E>,
 }
@@ -73,12 +135,17 @@ pub enum Popped<E> {
 /// A deterministic, cancellable priority queue of timestamped events.
 ///
 /// Events pop in nondecreasing time order; ties pop in insertion order.
-/// Cancellation is eager: the entry is removed from the heap immediately
-/// (O(log n)), so the queue never holds dead entries and every traversal
-/// touches live events only.
+/// Cancellation is eager for heap entries (removed in O(log n)) and O(1)
+/// for run entries (reaped when they reach the run's head); either way a
+/// cancelled event never surfaces and [`raw_len`](Self::raw_len) counts
+/// live events only.
 pub struct EventQueue<E> {
-    /// Slot indices, heap-ordered by the owning slot's `(at, seq)`.
-    heap: Vec<u32>,
+    /// Inline keys, heap-ordered by `(at, seq)`.
+    heap: Vec<Key>,
+    /// Keys in nondecreasing `(at, seq)` order; the front is always live.
+    run: VecDeque<Key>,
+    /// Live keys in `run` (dead ones await reaping).
+    run_live: usize,
     slots: Vec<Slot<E>>,
     /// Head of the vacant-slot free list threaded through `Slot::pos`.
     free_head: u32,
@@ -98,6 +165,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
+            run: VecDeque::new(),
+            run_live: 0,
             slots: Vec::new(),
             free_head: NIL,
             next_seq: 0,
@@ -117,13 +186,14 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        let idx = if self.free_head == NIL {
-            let idx = u32::try_from(self.slots.len()).expect("fewer than 2^32 live events");
+        let slot = if self.free_head == NIL {
+            let idx = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&i| i < IN_RUN)
+                .expect("fewer than 2^32 - 2 live events");
             self.slots.push(Slot {
                 generation: 0,
                 pos: NIL,
-                at,
-                seq,
                 payload: Some(payload),
             });
             idx
@@ -131,22 +201,32 @@ impl<E> EventQueue<E> {
             let idx = self.free_head;
             let slot = &mut self.slots[idx as usize];
             self.free_head = slot.pos;
-            slot.at = at;
-            slot.seq = seq;
             slot.payload = Some(payload);
             idx
         };
-        let pos = self.heap.len();
-        self.heap.push(idx);
-        self.slots[idx as usize].pos = u32::try_from(pos).expect("heap fits in u32");
-        self.sift_up(pos);
-        EventId::new(idx, self.slots[idx as usize].generation)
+        let generation = self.slots[slot as usize].generation;
+        let key = Key {
+            at: Key::order_bits(at),
+            seq,
+            slot,
+            generation,
+        };
+        // The new key carries the largest seq so far, so it extends the
+        // run's order whenever its time is no earlier than the tail's.
+        if self.run.back().is_none_or(|tail| key.at >= tail.at) {
+            self.slots[slot as usize].pos = IN_RUN;
+            self.run.push_back(key);
+            self.run_live += 1;
+        } else {
+            self.heap.push(key);
+            self.sift_up(self.heap.len() - 1, key);
+        }
+        EventId::new(slot, generation)
     }
 
-    /// Cancels a previously scheduled event, removing it from the heap
-    /// immediately. Returns `true` if the event had not yet fired or been
-    /// cancelled. Cancelling an already-fired id is a harmless no-op
-    /// returning `false`.
+    /// Cancels a previously scheduled event. Returns `true` if the event
+    /// had not yet fired or been cancelled. Cancelling an already-fired id
+    /// is a harmless no-op returning `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let idx = id.slot();
         let Some(slot) = self.slots.get(idx as usize) else {
@@ -155,20 +235,22 @@ impl<E> EventQueue<E> {
         if slot.generation != id.generation() || slot.payload.is_none() {
             return false;
         }
-        let pos = slot.pos as usize;
-        self.remove_at(pos);
+        let pos = slot.pos;
         self.vacate(idx);
+        if pos == IN_RUN {
+            self.run_live -= 1;
+            self.reap_run();
+        } else {
+            self.remove_at(pos as usize);
+        }
         true
     }
 
     /// Removes and returns the earliest live event, or `None` if the queue
     /// is empty.
     pub fn pop(&mut self) -> Option<(TimePoint, E)> {
-        let &idx = self.heap.first()?;
-        self.remove_at(0);
-        let at = self.slots[idx as usize].at;
-        let payload = self.vacate(idx).expect("heap entries are occupied");
-        Some((at, payload))
+        let (key, in_run) = self.front()?;
+        Some((key.time(), self.take_front(key, in_run)))
     }
 
     /// Pops the earliest event if it fires at or before `horizon`
@@ -176,18 +258,16 @@ impl<E> EventQueue<E> {
     /// peek-then-pop the run loop uses. A deferred event stays queued and
     /// is reported as [`Popped::Beyond`].
     pub fn pop_within(&mut self, horizon: Option<TimePoint>) -> Popped<E> {
-        let Some(&idx) = self.heap.first() else {
+        let Some((key, in_run)) = self.front() else {
             return Popped::Empty;
         };
-        let at = self.slots[idx as usize].at;
+        let at = key.time();
         if let Some(h) = horizon {
             if at > h {
                 return Popped::Beyond(at);
             }
         }
-        self.remove_at(0);
-        let payload = self.vacate(idx).expect("heap entries are occupied");
-        Popped::Event(at, payload)
+        Popped::Event(at, self.take_front(key, in_run))
     }
 
     /// Pops the earliest event if it fires *strictly before* `limit`; an
@@ -199,36 +279,34 @@ impl<E> EventQueue<E> {
     /// that instant runs (contrast [`pop_within`](Self::pop_within),
     /// whose horizon is inclusive).
     pub fn pop_before(&mut self, limit: TimePoint) -> Popped<E> {
-        let Some(&idx) = self.heap.first() else {
+        let Some((key, in_run)) = self.front() else {
             return Popped::Empty;
         };
-        let at = self.slots[idx as usize].at;
+        let at = key.time();
         if at >= limit {
             return Popped::Beyond(at);
         }
-        self.remove_at(0);
-        let payload = self.vacate(idx).expect("heap entries are occupied");
-        Popped::Event(at, payload)
+        Popped::Event(at, self.take_front(key, in_run))
     }
 
     /// Timestamp of the next live event without removing it. O(1).
     #[must_use]
     pub fn peek_time(&self) -> Option<TimePoint> {
-        self.heap.first().map(|&idx| self.slots[idx as usize].at)
+        self.front().map(|(key, _)| key.time())
     }
 
     /// Whether no live events remain. O(1).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.run.is_empty()
     }
 
-    /// Number of live entries. Eager cancellation keeps no tombstones, so
-    /// this is exact (the seed implementation counted unreaped cancelled
-    /// entries too).
+    /// Number of live entries. Dead run keys are not counted, so this is
+    /// exact (the seed implementation counted unreaped cancelled entries
+    /// too).
     #[must_use]
     pub fn raw_len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.run_live
     }
 
     /// Total number of events ever scheduled on this queue.
@@ -237,8 +315,41 @@ impl<E> EventQueue<E> {
         self.scheduled_total
     }
 
+    /// The earliest live key and whether it heads the run (else the
+    /// heap). The run's front is live by invariant.
+    fn front(&self) -> Option<(Key, bool)> {
+        match (self.run.front(), self.heap.first()) {
+            (Some(r), Some(h)) if h.before(r) => Some((*h, false)),
+            (Some(r), _) => Some((*r, true)),
+            (None, h) => h.map(|h| (*h, false)),
+        }
+    }
+
+    /// Removes the key [`front`](Self::front) returned and frees its slot.
+    fn take_front(&mut self, key: Key, in_run: bool) -> E {
+        if in_run {
+            self.run.pop_front();
+            self.run_live -= 1;
+            self.reap_run();
+        } else {
+            self.remove_at(0);
+        }
+        self.vacate(key.slot).expect("queued keys are occupied")
+    }
+
+    /// Drops dead keys (cancelled events) from the run's front, restoring
+    /// the live-front invariant.
+    fn reap_run(&mut self) {
+        while let Some(key) = self.run.front() {
+            if self.slots[key.slot as usize].generation == key.generation {
+                break;
+            }
+            self.run.pop_front();
+        }
+    }
+
     /// Frees a slot back to the free list, bumping its generation so any
-    /// outstanding handle to the old occupant is invalidated.
+    /// outstanding handle or run key for the old occupant is invalidated.
     fn vacate(&mut self, idx: u32) -> Option<E> {
         let slot = &mut self.slots[idx as usize];
         slot.generation = slot.generation.wrapping_add(1);
@@ -247,44 +358,34 @@ impl<E> EventQueue<E> {
         slot.payload.take()
     }
 
-    /// Whether slot `a` orders strictly before slot `b`: earlier time,
-    /// then earlier sequence number (FIFO on ties). Sequence numbers are
-    /// unique, so this is a strict total order. `total_cmp` keeps the heap
-    /// comparator total on every bit pattern — `schedule` already rejects
-    /// non-finite timestamps, so the only behavioral wrinkle left is the
-    /// IEEE `-0.0 < +0.0` ordering, which is exactly the consistent-order
-    /// guarantee the heap needs.
-    fn before(&self, a: u32, b: u32) -> bool {
-        let (sa, sb) = (&self.slots[a as usize], &self.slots[b as usize]);
-        match sa.at.total_cmp(sb.at) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => sa.seq < sb.seq,
+    /// Writes `key` at heap position `pos` and records the position in
+    /// its slot — the invariant every sift step maintains.
+    fn place(&mut self, pos: usize, key: Key) {
+        self.heap[pos] = key;
+        // `pos < heap.len() <= slots.len() < IN_RUN`, checked on slot
+        // allocation.
+        #[allow(clippy::cast_possible_truncation)]
+        {
+            self.slots[key.slot as usize].pos = pos as u32;
         }
     }
 
-    /// Writes `idx` at heap position `pos` and records the position in
-    /// the slot — the invariant every sift step maintains.
-    fn place(&mut self, pos: usize, idx: u32) {
-        self.heap[pos] = idx;
-        self.slots[idx as usize].pos = u32::try_from(pos).expect("heap fits in u32");
-    }
-
-    fn sift_up(&mut self, mut pos: usize) {
+    /// Moves the hole at `pos` up until `key` fits, then fills it.
+    fn sift_up(&mut self, mut pos: usize, key: Key) {
         while pos > 0 {
             let parent = (pos - 1) / 2;
-            if self.before(self.heap[pos], self.heap[parent]) {
-                let (a, b) = (self.heap[pos], self.heap[parent]);
-                self.place(pos, b);
-                self.place(parent, a);
-                pos = parent;
-            } else {
+            let above = self.heap[parent];
+            if !key.before(&above) {
                 break;
             }
+            self.place(pos, above);
+            pos = parent;
         }
+        self.place(pos, key);
     }
 
-    fn sift_down(&mut self, mut pos: usize) {
+    /// Moves the hole at `pos` down until `key` fits, then fills it.
+    fn sift_down(&mut self, mut pos: usize, key: Key) {
         let len = self.heap.len();
         loop {
             let left = 2 * pos + 1;
@@ -292,43 +393,42 @@ impl<E> EventQueue<E> {
                 break;
             }
             let right = left + 1;
-            let child = if right < len && self.before(self.heap[right], self.heap[left]) {
+            let child = if right < len && self.heap[right].before(&self.heap[left]) {
                 right
             } else {
                 left
             };
-            if self.before(self.heap[child], self.heap[pos]) {
-                let (a, b) = (self.heap[pos], self.heap[child]);
-                self.place(pos, b);
-                self.place(child, a);
-                pos = child;
-            } else {
+            let below = self.heap[child];
+            if !below.before(&key) {
                 break;
             }
+            self.place(pos, below);
+            pos = child;
         }
+        self.place(pos, key);
     }
 
-    /// Removes the heap entry at `pos` by swapping the tail in, then
-    /// restoring heap order from `pos` (the replacement may need to move
-    /// either direction). Does not touch the owning slot.
+    /// Removes the heap entry at `pos` by refilling the hole with the
+    /// tail key, sifted whichever way it must move. Does not touch the
+    /// removed key's slot.
     fn remove_at(&mut self, pos: usize) {
-        let last = self.heap.len() - 1;
-        if pos == last {
-            self.heap.pop();
+        let tail = self.heap.pop().expect("remove_at on a non-empty heap");
+        if pos == self.heap.len() {
             return;
         }
-        let tail = self.heap[last];
-        self.heap.pop();
-        self.place(pos, tail);
-        self.sift_down(pos);
-        self.sift_up(pos);
+        if pos > 0 && tail.before(&self.heap[(pos - 1) / 2]) {
+            self.sift_up(pos, tail);
+        } else {
+            self.sift_down(pos, tail);
+        }
     }
 }
 
 impl<E: std::fmt::Debug> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.heap.len())
+            .field("len", &self.raw_len())
+            .field("run", &self.run.len())
             .field("slots", &self.slots.len())
             .field("scheduled_total", &self.scheduled_total)
             .finish()
@@ -499,6 +599,38 @@ mod tests {
         }
         for i in 0..8u32 {
             assert_eq!(q.pop_before(t(2.0)), Popped::Event(t(1.0), i));
+        }
+    }
+
+    #[test]
+    fn key_order_bits_follow_total_cmp_and_round_trip() {
+        let values = [
+            -f64::MAX,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            f64::MAX,
+        ];
+        for &a in &values {
+            let ka = Key::order_bits(t(a));
+            let key = Key {
+                at: ka,
+                seq: 0,
+                slot: 0,
+                generation: 0,
+            };
+            assert_eq!(key.time().value().to_bits(), a.to_bits());
+            for &b in &values {
+                assert_eq!(
+                    ka.cmp(&Key::order_bits(t(b))),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
         }
     }
 

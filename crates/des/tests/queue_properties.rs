@@ -1,7 +1,7 @@
 //! Property tests for the event queue and simulation executive.
 
 use crossroads_check::{bools, ck_assert, ck_assert_eq, forall, vec};
-use crossroads_des::{EventQueue, Simulation};
+use crossroads_des::{EventQueue, Popped, Simulation};
 use crossroads_units::TimePoint;
 
 /// The obviously-correct reference queue: a flat vector scanned for the
@@ -33,15 +33,44 @@ impl NaiveQueue {
         }
     }
 
-    fn pop(&mut self) -> Option<(f64, usize)> {
-        let best = self
-            .entries
+    /// Index of the earliest live entry by `(time, seq)`.
+    fn first(&self) -> Option<usize> {
+        self.entries
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(i, _)| i)?;
-        let (at, _, payload) = self.entries.remove(best);
+            .map(|(i, _)| i)
+    }
+
+    fn peek(&self) -> Option<f64> {
+        self.first().map(|i| self.entries[i].0)
+    }
+
+    fn pop(&mut self) -> Option<(f64, usize)> {
+        let (at, _, payload) = self.entries.remove(self.first()?);
         Some((at, payload))
+    }
+
+    /// Pops the earliest entry if `take(time)` holds, reporting like
+    /// [`Popped`] as `(kind, time bits, payload)`.
+    fn pop_if(&mut self, take: impl Fn(f64) -> bool) -> (u8, u64, usize) {
+        match self.peek() {
+            None => (0, 0, 0),
+            Some(at) if !take(at) => (1, at.to_bits(), 0),
+            Some(_) => {
+                let (at, e) = self.pop().expect("peeked");
+                (2, at.to_bits(), e)
+            }
+        }
+    }
+}
+
+/// [`Popped`] flattened to the naive model's `(kind, time bits, payload)`.
+fn flatten(p: Popped<usize>) -> (u8, u64, usize) {
+    match p {
+        Popped::Empty => (0, 0, 0),
+        Popped::Beyond(at) => (1, at.value().to_bits(), 0),
+        Popped::Event(at, e) => (2, at.value().to_bits(), e),
     }
 }
 
@@ -135,6 +164,98 @@ forall! {
             ck_assert_eq!(queue.raw_len(), naive.entries.len());
         }
         // Drain both: the tails must agree event for event.
+        loop {
+            let popped = queue.pop().map(|(at, e)| (at.value().to_bits(), e));
+            let expect = naive.pop().map(|(at, e)| (at.to_bits(), e));
+            ck_assert_eq!(popped, expect);
+            if expect.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// Model test for the run-plus-heap split: a presorted bulk prefix
+    /// (the arrival stream, held by the sorted run) followed by
+    /// interleaved traffic, against the naive model. Times sit on a
+    /// coarse grid so run and heap entries tie often. The ops cover
+    /// schedules at absolute and now-relative times (landing in either
+    /// structure), cancels of the earliest, middle and latest live prefix
+    /// events (run head, middle, tail), cancels of any handle ever issued
+    /// (fired and cancelled ones are stale handles to recycled slots),
+    /// plain pops, and `pop_within` / `pop_before` exactly at, one ulp
+    /// before and one ulp after the next event's instant. Every result,
+    /// `raw_len`, `peek_time` and `is_empty` must agree after every op.
+    fn run_and_heap_match_naive_model(
+        prefix in vec(0u8..3, 0..80),
+        ops in vec((0u8..8, 0usize..1024), 1..200),
+    ) {
+        let mut queue = EventQueue::new();
+        let mut naive = NaiveQueue::default();
+        let mut ids = Vec::new();
+        let mut handles = Vec::new();
+        let mut at = 0.0;
+        for &gap in &prefix {
+            at += f64::from(gap) * 0.5;
+            ids.push(queue.schedule(TimePoint::new(at), ids.len()));
+            handles.push(naive.schedule(at, handles.len()));
+        }
+        let prefix_len = ids.len();
+        let mut now = 0.0;
+        for &(op, pick) in &ops {
+            let grid = |k: usize| (k % 48) as f64 * 0.5;
+            match op {
+                0 | 1 => {
+                    let t = if op == 0 { grid(pick) } else { now + grid(pick % 5) };
+                    ids.push(queue.schedule(TimePoint::new(t), ids.len()));
+                    handles.push(naive.schedule(t, handles.len()));
+                }
+                2 if prefix_len > 0 => {
+                    // The earliest, a middle and the latest live prefix
+                    // event: the run's head, middle and tail.
+                    let live: Vec<usize> = (0..prefix_len)
+                        .filter(|&k| naive.entries.iter().any(|e| e.1 == handles[k]))
+                        .collect();
+                    if let Some(&k) = [live.first(), live.get(live.len() / 2), live.last()]
+                        [pick % 3]
+                    {
+                        ck_assert!(queue.cancel(ids[k]));
+                        ck_assert!(naive.cancel(handles[k]));
+                    }
+                }
+                3 if !ids.is_empty() => {
+                    let k = pick % ids.len();
+                    ck_assert_eq!(queue.cancel(ids[k]), naive.cancel(handles[k]));
+                }
+                4 | 5 => {
+                    // Boundary instants around the next event.
+                    let next = naive.peek().unwrap_or(now);
+                    let edge = [next, next.next_down(), next.next_up()][pick % 3];
+                    let (got, expect) = if op == 4 {
+                        (queue.pop_within(Some(TimePoint::new(edge))), naive.pop_if(|t| t <= edge))
+                    } else {
+                        (queue.pop_before(TimePoint::new(edge)), naive.pop_if(|t| t < edge))
+                    };
+                    ck_assert_eq!(flatten(got), expect);
+                    if expect.0 == 2 {
+                        now = f64::from_bits(expect.1);
+                    }
+                }
+                _ => {
+                    let popped = queue.pop().map(|(at, e)| (at.value().to_bits(), e));
+                    let expect = naive.pop().map(|(at, e)| (at.to_bits(), e));
+                    ck_assert_eq!(popped, expect);
+                    if let Some((bits, _)) = expect {
+                        now = f64::from_bits(bits);
+                    }
+                }
+            }
+            ck_assert_eq!(queue.raw_len(), naive.entries.len());
+            ck_assert_eq!(queue.is_empty(), naive.entries.is_empty());
+            ck_assert_eq!(
+                queue.peek_time().map(|t| t.value().to_bits()),
+                naive.peek().map(f64::to_bits)
+            );
+        }
         loop {
             let popped = queue.pop().map(|(at, e)| (at.value().to_bits(), e));
             let expect = naive.pop().map(|(at, e)| (at.to_bits(), e));

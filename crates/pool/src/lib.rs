@@ -53,10 +53,12 @@ pub fn threads_from_env() -> usize {
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or_else(default_threads)
+        .unwrap_or_else(available_threads)
 }
 
-fn default_threads() -> usize {
+/// The machine's available parallelism (1 if it cannot be determined).
+#[must_use]
+pub fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
